@@ -92,6 +92,7 @@ from .obs import (
     diff_manifests,
     diff_traces,
     format_dashboard,
+    format_eta,
     profile_summary,
     read_status,
     read_trace,
@@ -459,14 +460,6 @@ class _EventProgress:
             self._last_render = now
             self._render(now)
 
-    @staticmethod
-    def _eta(seconds: float) -> str:
-        minutes, secs = divmod(int(max(seconds, 0)), 60)
-        hours, minutes = divmod(minutes, 60)
-        if hours:
-            return f"{hours}:{minutes:02d}:{secs:02d}"
-        return f"{minutes}:{secs:02d}"
-
     def _render(self, now: float) -> None:
         elapsed = max(now - self._t0, 1e-9)
         rate = self.done / elapsed
@@ -475,7 +468,7 @@ class _EventProgress:
             line += f"/{self.total:,}"
         line += f"  {rate:,.0f} events/s"
         if self.total and rate > 0 and self.total > self.done:
-            line += f"  ETA {self._eta((self.total - self.done) / rate)}"
+            line += f"  ETA {format_eta((self.total - self.done) / rate)}"
         self.stream.write("\r" + line.ljust(79))
         self.stream.flush()
         self._wrote = True

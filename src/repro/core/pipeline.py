@@ -6,10 +6,12 @@ numbers (Figure 1's Venn regions, the class breakdown) into a single
 :class:`ValidationReport`.
 
 ``validate_store(store)`` is the out-of-core twin: it streams a
-:class:`repro.store.StudyStore` one segment at a time through the same
-three stages, so peak memory is bounded by the largest segment while
-counters, gauges, summaries and fingerprints stay byte-identical to the
-in-memory path.
+:class:`repro.store.StudyStore` segment by segment through the same
+three stages on one scheduler (:func:`repro.runtime.run_pipelined`) —
+a window of one segment by default, a few segments in flight for
+parallel runs — so peak memory is bounded by the segments in flight
+while counters, gauges, summaries and fingerprints stay byte-identical
+to the in-memory path.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 from ..model import CheckinType, Dataset, UserData
-from ..obs import ObsContext, activate, config_hash, thread_activate
+from ..obs import ObsContext, activate, config_hash, format_eta, thread_activate
 from ..obs import current as obs_current
 from ..runtime import (
     DegradedResult,
@@ -28,11 +30,11 @@ from ..runtime import (
     RunHealth,
     RuntimeTimings,
     StreamMerger,
-    available_workers,
     resolve_executor,
     run_pipelined,
     shard_count,
     shard_segment,
+    window_size,
 )
 from ..runtime.errors import RuntimeConfigError
 from ..runtime.faults import inject
@@ -305,7 +307,8 @@ def _segment_results(
 
     Shards come from the segment's manifest counts
     (:func:`repro.runtime.shard_segment`), so segment size — not study
-    size — bounds the sharding work too.
+    size — bounds the sharding work too.  ``health`` is the segment's
+    own accumulator; the reducer merges it into the run's.
     """
     shards = shard_segment(
         entry.user_ids,
@@ -313,18 +316,12 @@ def _segment_results(
         entry.checkin_counts,
         shard_count(exec_, entry.n_users),
     )
-    skip_base = len(health.skipped)
     extract_dataset_visits(
         seg_dataset, visit_config, executor=exec_, timings=timings,
         resilience=resilience, fault_plan=fault_plan, health=health,
         shards=shards,
     )
-    skipped = {
-        user_id
-        for degraded in health.skipped[skip_base:]
-        if degraded.stage == "extract"
-        for user_id in degraded.user_ids
-    }
+    skipped = set(health.skipped_user_ids("extract"))
     working = (
         seg_dataset
         if not skipped
@@ -382,14 +379,6 @@ class _SegmentProgress:
             self._last_render = now
             self._render(now)
 
-    @staticmethod
-    def _eta(seconds: float) -> str:
-        minutes, secs = divmod(int(seconds), 60)
-        hours, minutes = divmod(minutes, 60)
-        if hours:
-            return f"{hours}:{minutes:02d}:{secs:02d}"
-        return f"{minutes}:{secs:02d}"
-
     def _render(self, now: float) -> None:
         elapsed = max(now - self._t0, 1e-9)
         rate = self.done_users / elapsed
@@ -399,7 +388,7 @@ class _SegmentProgress:
             f"segments {self.done_segments}/{self.n_segments}"
             f"  users {self.done_users}/{self.n_users}"
             f"  {rate:,.0f} users/s"
-            f"  ETA {self._eta(eta_s)}"
+            f"  ETA {format_eta(eta_s)}"
             f"  reused {self.reused}"
         )
         self.stream.write("\r" + line.ljust(79))
@@ -421,29 +410,22 @@ def _resolve_inflight(
 ) -> int:
     """How many segments may be in flight (loaded or computing) at once.
 
-    ``1`` is the serial streaming loop.  The default sizes the window
-    from the worker count — enough segments to hide load latency and
-    stage-boundary pool idling, capped so memory stays a small multiple
-    of one segment.  An explicit ``executor`` cannot be shared across
+    ``1`` walks the segments one at a time.  The default is ``1`` for
+    serial runs and otherwise :func:`repro.runtime.window_size` of the
+    worker count.  An explicit ``executor`` cannot be shared across
     concurrent segments (the resilience layer rebuilds pools on crash,
-    which would cancel sibling segments' shards), so it forces the
-    serial loop unless the caller explicitly asks for more.
+    which would cancel sibling segments' shards), so it keeps the
+    window at ``1`` and rejects an explicit request for more.
     """
-    if inflight_segments is not None:
-        if inflight_segments < 1:
-            raise ValueError(
-                f"inflight_segments must be >= 1, got {inflight_segments}"
-            )
-        if executor is not None and inflight_segments > 1:
-            raise RuntimeConfigError(
-                "an explicit executor cannot be shared across in-flight "
-                "segments; pass workers= instead"
-            )
-        return min(inflight_segments, max(n_segments, 1))
-    if executor is not None or workers is None or workers == 1:
+    if inflight_segments is None and (executor is not None or workers in (None, 1)):
         return 1
-    effective = workers if workers > 0 else available_workers()
-    return max(1, min(n_segments, min(effective, 4) + 1))
+    inflight = window_size(inflight_segments, workers, n_segments)
+    if executor is not None and inflight_segments > 1:
+        raise RuntimeConfigError(
+            "an explicit executor cannot be shared across in-flight "
+            "segments; pass workers= instead"
+        )
+    return inflight
 
 
 def _load_segment_resilient(
@@ -496,11 +478,11 @@ def _load_segment_resilient(
 
 
 class _StoreAggregate:
-    """Reduce-side accumulator shared by the serial and pipelined paths.
+    """Reduce-side accumulator of :func:`validate_store`.
 
-    Segments are always folded in manifest order, so both paths build
-    identical aggregates — and the summary, fingerprint, and report
-    derived from them are byte-identical.
+    Segments are always folded in manifest order, so every in-flight
+    window builds identical aggregates — and the summary, fingerprint,
+    and report derived from them are byte-identical.
     """
 
     def __init__(self, keep_results: bool) -> None:
@@ -605,28 +587,34 @@ def validate_store(
     dropped — peak memory is bounded by segments in flight, not study
     size.
 
-    ``inflight_segments`` > 1 turns on the **pipelined scheduler**
+    Every run goes through the segment scheduler
     (:func:`repro.runtime.run_pipelined`): a prefetch thread loads and
-    checkpoint-probes up to that many segments ahead while lane threads
-    run the three stages of different segments concurrently, each lane
-    on its own executor, and the reducer folds results strictly in
-    manifest order.  The default is ``1`` (the serial streaming loop)
-    for serial runs, or sized from ``workers`` for parallel ones.  Peak
-    RSS is bounded by ``baseline + inflight × largest segment``.
+    checkpoint-probes up to ``inflight_segments`` segments ahead, lane
+    threads run the three stages, each lane on its own executor, and
+    the reducer folds results strictly in manifest order.  A window of
+    ``1`` — the default for serial runs — walks the segments one at a
+    time: segment *i+1* loads only after segment *i* is reduced.
+    Parallel runs size the window from ``workers``.  Peak RSS is bounded
+    by ``baseline + inflight × largest segment``.  A prebuilt
+    ``executor`` runs every segment on a single lane at window ``1``
+    and is left open for the caller.
 
     Per-user computation is deterministic, segments partition the user
     set in dataset order, and reduction happens in manifest order at any
     ``inflight_segments``/worker count — so the summary text, semantic
     counters and gauges, dataset fingerprint, and checkpoint files are
-    byte-identical to ``validate(store.load_dataset())`` and to the
-    serial streaming loop.
+    byte-identical to ``validate(store.load_dataset())`` and across
+    windows.
 
     ``checkpoints`` (a :class:`repro.store.CheckpointStore` or a
     directory path) arms per-segment crash recovery: finished segments
     persist their results keyed by the pipeline config hash and the
     segment's content fingerprints, and a restarted run replays them
     (including their counter deltas, when observability was on) instead
-    of recomputing.  Checkpoint writes stay atomic under concurrency.
+    of recomputing.  Segments with skipped users are never checkpointed,
+    so a resumed run recomputes them rather than replaying a degraded
+    result as a clean one.  Checkpoint writes stay atomic under
+    concurrency.
 
     ``resilience`` additionally covers the segment *load* as its own
     work unit: failed loads retry with deterministic backoff, and under
@@ -642,11 +630,10 @@ def validate_store(
     ``telemetry`` (a :class:`repro.obs.TelemetrySampler`) publishes live
     progress — ``store.segments_done``, ``store.users_done`` (+ the
     ``store.users_done_total`` counter the monitor rates), the planned
-    totals, and the pipelined scheduler's in-flight/overlap/stall
-    figures — into the sampler's own :class:`~repro.obs.LiveMetrics`
-    bag.  The run's :class:`~repro.obs.MetricsRegistry` is never
-    touched, so manifests and parity suites stay byte-identical with
-    telemetry on or off.
+    totals, and the scheduler's in-flight/overlap/stall figures — into
+    the sampler's own :class:`~repro.obs.LiveMetrics` bag.  The run's
+    :class:`~repro.obs.MetricsRegistry` is never touched, so manifests
+    and parity suites stay byte-identical with telemetry on or off.
 
     ``keep_results=False`` (the default, the out-of-core mode) returns a
     :class:`ValidationSummary`; ``keep_results=True`` materialises every
@@ -671,6 +658,12 @@ def validate_store(
     load_resilience = resilience
     if load_resilience is None and fault_plan is not None:
         load_resilience = ResilienceConfig()
+    # Two lanes hide one segment's stage-boundary pool idling behind the
+    # other's compute; more lanes add process pressure, not throughput.
+    # Every lane runs at the full requested width, so the shard layout —
+    # and therefore every per-segment counter — is the same at any window.
+    lanes = min(2, inflight)
+    lane_execs = [resolve_executor(executor, workers) for _ in range(lanes)]
 
     agg = _StoreAggregate(keep_results)
     timings = RuntimeTimings()
@@ -687,198 +680,6 @@ def validate_store(
         live.set_gauge("store.users_done", 0.0)
         live.set_gauge("store.inflight_segments", float(inflight))
 
-    if inflight > 1:
-        return _validate_store_pipelined(
-            store, visit_config, match_config, classify_config, workers,
-            ctx, resilience, load_resilience, fault_plan, health,
-            checkpoints, checkpoint_key, keep_results, inflight, agg,
-            timings, prog, live,
-        )
-
-    done_segments = 0
-    done_users = 0
-
-    def live_segment(n_users: int) -> None:
-        nonlocal done_segments, done_users
-        if live is None:
-            return
-        done_segments += 1
-        done_users += n_users
-        live.set_gauge("store.segments_done", float(done_segments))
-        live.set_gauge("store.users_done", float(done_users))
-        live.inc("store.users_done_total", n_users)
-
-    exec_, owned = resolve_executor(executor, workers)
-    try:
-        with activate(ctx), ctx.span(
-            "pipeline.validate",
-            dataset=store.name,
-            users=store.n_users,
-            workers=exec_.workers,
-            segments=len(store.segments),
-        ):
-            ctx.set_gauge("store.inflight_segments", float(inflight))
-            pois = store.load_pois()
-            for entry in store.segments:
-                payload = (
-                    checkpoints.load(entry, checkpoint_key)
-                    if checkpoints is not None
-                    else None
-                )
-                seg_plan = (
-                    fault_plan.for_segment(entry.segment_id)
-                    if fault_plan is not None
-                    else None
-                )
-                with ctx.span(
-                    "store.segment",
-                    segment=entry.segment_id,
-                    users=entry.n_users,
-                    reused=payload is not None,
-                ):
-                    if payload is not None:
-                        agg.segments_reused += 1
-                        ctx.count("store.segments_reused", 1)
-                        for name, delta in payload["counters"].items():
-                            ctx.count(name, delta)
-                        per_user_matching = payload["matching"]
-                        seg_labels = payload["labels"]
-                        seg_checkins = payload["checkins"]
-                        seg_visits = payload["visits"]
-                        seg_dataset = None
-                        if keep_results:
-                            seg_dataset = store.load_segment(entry, pois=pois)
-                            for user_id, data in seg_dataset.users.items():
-                                data.visits = seg_visits[user_id]
-                    else:
-                        # Load first: load-level retry/skip counters must
-                        # land *before* the checkpoint-delta snapshot so
-                        # recovery noise never pollutes checkpoint bytes.
-                        seg_dataset, load_retries, degraded = (
-                            _load_segment_resilient(
-                                store, entry, pois, load_resilience, seg_plan
-                            )
-                        )
-                        if load_retries:
-                            health.retries += load_retries
-                            ctx.count("runtime.shard_retries", load_retries)
-                        if degraded is not None:
-                            health.skipped.append(degraded)
-                            ctx.count("runtime.shards_skipped", 1)
-                            per_user_matching = {}
-                            seg_labels = {}
-                            seg_checkins = {}
-                            seg_visits = {}
-                            ctx.count("store.segments_total", 1)
-                            agg.add_segment(
-                                entry, per_user_matching, seg_labels,
-                                seg_checkins, seg_visits, None,
-                            )
-                            if prog is not None:
-                                prog.update(entry.n_users, reused=False)
-                            live_segment(entry.n_users)
-                            continue
-                        before = (
-                            dict(ctx.metrics.snapshot()["counters"])
-                            if ctx.enabled
-                            else {}
-                        )
-                        matching, classification = _segment_results(
-                            entry, seg_dataset, visit_config, match_config,
-                            classify_config, exec_, timings, resilience,
-                            seg_plan, health,
-                        )
-                        per_user_matching = matching.per_user
-                        seg_labels = classification.labels
-                        seg_checkins = classification.checkins
-                        seg_visits = {
-                            user_id: data.visits
-                            for user_id, data in seg_dataset.users.items()
-                        }
-                        if checkpoints is not None:
-                            after = (
-                                dict(ctx.metrics.snapshot()["counters"])
-                                if ctx.enabled
-                                else {}
-                            )
-                            # Keep new-but-zero counters (a key counted
-                            # with delta 0 still exists in the snapshot)
-                            # so replay recreates the exact key set.
-                            deltas = {
-                                name: value - before.get(name, 0)
-                                for name, value in after.items()
-                                if name not in before or value != before[name]
-                            }
-                            checkpoints.save(
-                                entry,
-                                checkpoint_key,
-                                _checkpoint_payload(
-                                    per_user_matching, seg_labels,
-                                    seg_checkins, seg_visits, deltas,
-                                ),
-                            )
-                    ctx.count("store.segments_total", 1)
-                # Reduce this segment into the running aggregates; the
-                # segment's data is dropped before the next one loads.
-                agg.add_segment(
-                    entry, per_user_matching, seg_labels, seg_checkins,
-                    seg_visits,
-                    seg_dataset.users if seg_dataset is not None else None,
-                )
-                if prog is not None:
-                    prog.update(entry.n_users, reused=payload is not None)
-                live_segment(entry.n_users)
-            ctx.count("pipeline.runs_total", 1)
-            agg.set_headline_gauges(ctx, health)
-    finally:
-        if owned:
-            exec_.close()
-        if prog is not None:
-            prog.close()
-    return _store_result(
-        store, agg, match_config, classify_config, timings, health,
-        keep_results,
-    )
-
-
-def _validate_store_pipelined(
-    store: StudyStore,
-    visit_config: VisitConfig,
-    match_config: MatchConfig,
-    classify_config: ClassifyConfig,
-    workers: Optional[int],
-    ctx,
-    resilience,
-    load_resilience,
-    fault_plan,
-    health: RunHealth,
-    checkpoints: Optional[CheckpointStore],
-    checkpoint_key: str,
-    keep_results: bool,
-    inflight: int,
-    agg: _StoreAggregate,
-    timings: RuntimeTimings,
-    prog: Optional[_SegmentProgress],
-    live=None,
-) -> Union[ValidationSummary, ValidationReport]:
-    """The pipelined scheduler behind ``validate_store(inflight > 1)``.
-
-    Prefetch thread: checkpoint probe + mmap load, up to ``inflight``
-    segments ahead.  Lane threads: the three pipeline stages, each lane
-    on its own executor (full requested width, so shard layout — and
-    therefore every per-segment counter — matches the serial loop
-    exactly) under a private obs context activated thread-locally.
-    Reducer (this thread): folds outcomes in manifest order — absorbs
-    the segment's obs delta, writes its checkpoint, merges health and
-    timings, updates aggregates — so everything downstream is
-    byte-identical to the serial loop.
-    """
-    # Two lanes hide one segment's stage-boundary pool idling behind the
-    # other's compute; more lanes add process pressure, not throughput.
-    lanes = max(1, min(2, inflight, len(store.segments)))
-    lane_execs = [resolve_executor(None, workers)[0] for _ in range(lanes)]
-    pois = store.load_pois()
-
     def seg_plan_for(entry: SegmentEntry):
         return (
             fault_plan.for_segment(entry.segment_id)
@@ -887,6 +688,7 @@ def _validate_store_pipelined(
         )
 
     def load(index: int, entry: SegmentEntry):
+        """Prefetch thread: checkpoint probe, then the (resilient) load."""
         payload = (
             checkpoints.load(entry, checkpoint_key)
             if checkpoints is not None
@@ -905,6 +707,7 @@ def _validate_store_pipelined(
         return ("fresh", seg_dataset, load_retries, degraded)
 
     def compute(index: int, entry: SegmentEntry, loaded, lane_id: int):
+        """Lane thread: the three stages on the lane's own executor."""
         if loaded[0] == "reused":
             return {"reused": True, "payload": loaded[1], "dataset": loaded[2]}
         _, seg_dataset, load_retries, degraded = loaded
@@ -925,7 +728,7 @@ def _validate_store_pipelined(
         seg_health = RunHealth()
         outcome["timings"] = seg_timings
         outcome["health"] = seg_health
-        exec_ = lane_execs[lane_id]
+        exec_ = lane_execs[lane_id][0]
         seg_plan = seg_plan_for(entry)
 
         def run_stages():
@@ -938,8 +741,7 @@ def _validate_store_pipelined(
         if ctx.enabled:
             # A private context per segment: the parent context is not
             # thread-safe, and a fresh one gives the reducer a clean
-            # counter delta — exactly what the serial loop measures
-            # between its before/after snapshots.
+            # per-segment counter delta for the checkpoint.
             seg_ctx = ObsContext(profile=ctx.profile_enabled)
             outcome["base_s"] = ctx.clock()
             with thread_activate(seg_ctx), seg_ctx.span(
@@ -961,120 +763,120 @@ def _validate_store_pipelined(
         outcome["users"] = seg_dataset.users if keep_results else None
         return outcome
 
+    done_users = 0
+
+    def reduce(index: int, entry: SegmentEntry, outcome) -> None:
+        """Caller thread, manifest order: every ordered side effect."""
+        nonlocal done_users
+        if outcome["reused"]:
+            payload = outcome["payload"]
+            with ctx.span(
+                "store.segment",
+                segment=entry.segment_id,
+                users=entry.n_users,
+                reused=True,
+            ):
+                agg.segments_reused += 1
+                ctx.count("store.segments_reused", 1)
+                for name, delta in payload["counters"].items():
+                    ctx.count(name, delta)
+                ctx.count("store.segments_total", 1)
+            seg_users = (
+                outcome["dataset"].users
+                if outcome["dataset"] is not None
+                else None
+            )
+            agg.add_segment(
+                entry, payload["matching"], payload["labels"],
+                payload["checkins"], payload["visits"], seg_users,
+            )
+        else:
+            # Load-level recovery lands before the checkpoint snapshot so
+            # recovery noise never pollutes checkpoint bytes.
+            if outcome["load_retries"]:
+                health.retries += outcome["load_retries"]
+                ctx.count("runtime.shard_retries", outcome["load_retries"])
+            degraded = outcome["degraded_load"]
+            if degraded is not None:
+                health.skipped.append(degraded)
+                ctx.count("runtime.shards_skipped", 1)
+            seg_health = outcome["health"]
+            health.retries += seg_health.retries
+            health.timeouts += seg_health.timeouts
+            health.pool_rebuilds += seg_health.pool_rebuilds
+            health.serial_fallbacks += seg_health.serial_fallbacks
+            health.skipped.extend(seg_health.skipped)
+            timings.stages.extend(outcome["timings"].stages)
+            # A segment with skipped users (failed load or skipped shard)
+            # is not checkpointed: its health is not in the payload, so a
+            # replay would pass it off as clean.  It recomputes instead.
+            save = (
+                checkpoints is not None
+                and degraded is None
+                and not seg_health.skipped
+            )
+            if save:
+                before = (
+                    ctx.metrics.snapshot()["counters"] if ctx.enabled else {}
+                )
+                seg_counters = (
+                    outcome["delta"]["metrics"]["counters"]
+                    if outcome["delta"] is not None
+                    else {}
+                )
+                # A segment counter survives if it is new to the run or
+                # moves the cumulative value — the key set a replay must
+                # recreate, and independent of the window.
+                deltas = {
+                    name: value
+                    for name, value in seg_counters.items()
+                    if name not in before or value != 0
+                }
+                checkpoints.save(
+                    entry,
+                    checkpoint_key,
+                    _checkpoint_payload(
+                        outcome["matching"], outcome["labels"],
+                        outcome["checkins"], outcome["visits"], deltas,
+                    ),
+                )
+            if outcome["delta"] is not None:
+                ctx.absorb(
+                    outcome["delta"],
+                    parent_id=pipeline_span.span_id,
+                    base_s=outcome["base_s"],
+                )
+            ctx.count("store.segments_total", 1)
+            agg.add_segment(
+                entry, outcome["matching"], outcome["labels"],
+                outcome["checkins"], outcome["visits"], outcome["users"],
+            )
+        if prog is not None:
+            prog.update(entry.n_users, reused=outcome["reused"])
+        if live is not None:
+            done_users += entry.n_users
+            live.set_gauge("store.segments_done", float(index + 1))
+            live.set_gauge("store.users_done", float(done_users))
+            live.inc("store.users_done_total", entry.n_users)
+
+    def on_progress(snap: Dict[str, Any]) -> None:
+        # Reducer-thread callback from run_pipelined: publish the
+        # scheduler's live efficiency figures to the sampler bag.
+        live.set_gauge("store.inflight_segments", float(snap["inflight"]))
+        live.set_gauge("store.prefetch_overlap", float(snap["overlap"]))
+        live.set_gauge("store.prefetch_stalls", float(snap["stalls"]))
+        live.set_gauge("store.reduce_wait_s", snap["reduce_wait_s"])
+
     try:
         with activate(ctx), ctx.span(
             "pipeline.validate",
             dataset=store.name,
             users=store.n_users,
-            workers=lane_execs[0].workers,
+            workers=lane_execs[0][0].workers,
             segments=len(store.segments),
         ) as pipeline_span:
             ctx.set_gauge("store.inflight_segments", float(inflight))
-
-            def reduce(index: int, entry: SegmentEntry, outcome) -> None:
-                if outcome["reused"]:
-                    with ctx.span(
-                        "store.segment",
-                        segment=entry.segment_id,
-                        users=entry.n_users,
-                        reused=True,
-                    ):
-                        agg.segments_reused += 1
-                        ctx.count("store.segments_reused", 1)
-                        for name, delta in outcome["payload"]["counters"].items():
-                            ctx.count(name, delta)
-                        ctx.count("store.segments_total", 1)
-                    payload = outcome["payload"]
-                    seg_users = (
-                        outcome["dataset"].users
-                        if outcome["dataset"] is not None
-                        else None
-                    )
-                    agg.add_segment(
-                        entry, payload["matching"], payload["labels"],
-                        payload["checkins"], payload["visits"], seg_users,
-                    )
-                else:
-                    # Load-level recovery lands before the checkpoint
-                    # snapshot, same as the serial loop.
-                    if outcome["load_retries"]:
-                        health.retries += outcome["load_retries"]
-                        ctx.count(
-                            "runtime.shard_retries", outcome["load_retries"]
-                        )
-                    degraded = outcome["degraded_load"]
-                    if degraded is not None:
-                        health.skipped.append(degraded)
-                        ctx.count("runtime.shards_skipped", 1)
-                    seg_health = outcome["health"]
-                    health.retries += seg_health.retries
-                    health.timeouts += seg_health.timeouts
-                    health.pool_rebuilds += seg_health.pool_rebuilds
-                    health.serial_fallbacks += seg_health.serial_fallbacks
-                    health.skipped.extend(seg_health.skipped)
-                    timings.stages.extend(outcome["timings"].stages)
-                    save = checkpoints is not None and degraded is None
-                    before = (
-                        dict(ctx.metrics.snapshot()["counters"])
-                        if ctx.enabled and save
-                        else {}
-                    )
-                    if save:
-                        seg_counters = (
-                            outcome["delta"]["metrics"]["counters"]
-                            if outcome["delta"] is not None
-                            else {}
-                        )
-                        # Identical bytes to the serial loop's
-                        # before/after rule: a segment counter survives
-                        # if it is new or changed the cumulative value.
-                        deltas = {
-                            name: value
-                            for name, value in seg_counters.items()
-                            if name not in before or value != 0
-                        }
-                        checkpoints.save(
-                            entry,
-                            checkpoint_key,
-                            _checkpoint_payload(
-                                outcome["matching"], outcome["labels"],
-                                outcome["checkins"], outcome["visits"],
-                                deltas,
-                            ),
-                        )
-                    if outcome["delta"] is not None:
-                        ctx.absorb(
-                            outcome["delta"],
-                            parent_id=pipeline_span.span_id,
-                            base_s=outcome["base_s"],
-                        )
-                    ctx.count("store.segments_total", 1)
-                    agg.add_segment(
-                        entry, outcome["matching"], outcome["labels"],
-                        outcome["checkins"], outcome["visits"],
-                        outcome["users"],
-                    )
-                if prog is not None:
-                    prog.update(entry.n_users, reused=outcome["reused"])
-                if live is not None:
-                    done["segments"] += 1
-                    done["users"] += entry.n_users
-                    live.set_gauge(
-                        "store.segments_done", float(done["segments"])
-                    )
-                    live.set_gauge("store.users_done", float(done["users"]))
-                    live.inc("store.users_done_total", entry.n_users)
-
-            done = {"segments": 0, "users": 0}
-
-            def on_progress(snap: Dict[str, Any]) -> None:
-                # Reducer-thread callback from run_pipelined: publish the
-                # scheduler's live efficiency figures to the sampler bag.
-                live.set_gauge("store.inflight_segments", float(snap["inflight"]))
-                live.set_gauge("store.prefetch_overlap", float(snap["overlap"]))
-                live.set_gauge("store.prefetch_stalls", float(snap["stalls"]))
-                live.set_gauge("store.reduce_wait_s", snap["reduce_wait_s"])
-
+            pois = store.load_pois()
             stats = run_pipelined(
                 store.segments, load, compute, reduce,
                 inflight=inflight, lanes=lanes,
@@ -1085,8 +887,9 @@ def _validate_store_pipelined(
             ctx.count("pipeline.runs_total", 1)
             agg.set_headline_gauges(ctx, health)
     finally:
-        for exec_ in lane_execs:
-            exec_.close()
+        for exec_, owned in lane_execs:
+            if owned:
+                exec_.close()
         if prog is not None:
             prog.close()
     return _store_result(

@@ -82,6 +82,7 @@ from .telemetry import (
     LiveMetrics,
     TelemetrySampler,
     format_dashboard,
+    format_eta,
     parse_openmetrics,
     process_stats,
     read_status,
@@ -119,6 +120,7 @@ __all__ = [
     "evaluate",
     "fingerprint_from_counts",
     "format_dashboard",
+    "format_eta",
     "manifest_statistics",
     "parse_openmetrics",
     "process_stats",

@@ -46,6 +46,7 @@ __all__ = [
     "LiveMetrics",
     "TelemetrySampler",
     "format_dashboard",
+    "format_eta",
     "parse_openmetrics",
     "process_stats",
     "read_status",
@@ -566,7 +567,8 @@ def _human_count(value: float) -> str:
     return f"{value:,.0f}"
 
 
-def _eta_str(seconds: float) -> str:
+def format_eta(seconds: float) -> str:
+    """``m:ss`` (or ``h:mm:ss``) for a progress line; negatives clamp to 0."""
     minutes, secs = divmod(int(max(seconds, 0)), 60)
     hours, minutes = divmod(minutes, 60)
     if hours:
@@ -639,7 +641,7 @@ def format_dashboard(
         user_rate = rates.get("store.users_done_total", 0.0)
         eta = ""
         if user_rate > 0 and users_total > users_done:
-            eta = f"   ETA {_eta_str((users_total - users_done) / user_rate)}"
+            eta = f"   ETA {format_eta((users_total - users_done) / user_rate)}"
         lines.append(
             f"  store      segments {segments_done:.0f}/{total:.0f}"
             f"   users {_human_count(users_done)}/{_human_count(users_total)}"

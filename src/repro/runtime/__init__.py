@@ -70,7 +70,7 @@ from .resilience import (
     run_shards_resilient,
 )
 from .ingest import IngestPool
-from .schedule import run_pipelined
+from .schedule import run_pipelined, window_size
 from .sharding import (
     GPS_SAMPLES_PER_VISIT,
     Shard,
@@ -118,4 +118,5 @@ __all__ = [
     "shard_segment",
     "shard_user_table",
     "user_weight",
+    "window_size",
 ]

@@ -20,6 +20,10 @@ compute.  :func:`run_pipelined` overlaps them while keeping the
   regardless of completion order — so merges, checkpoint writes, and
   counter absorption happen exactly as the serial loop would do them.
 
+With ``inflight=1`` the scheduler *is* that serial walk — item *i+1*
+loads only after ``reduce(i)`` frees the window's one slot — so callers
+need no separate serial loop.
+
 Errors reproduce serial semantics: if item *i* fails (in ``load`` or
 ``compute``), items ``0..i-1`` are still reduced first, then the
 original exception propagates from :func:`run_pipelined` — exactly the
@@ -35,7 +39,9 @@ import threading
 import time
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-__all__ = ["run_pipelined"]
+from .executor import available_workers
+
+__all__ = ["run_pipelined", "window_size"]
 
 #: Queue sentinel telling a lane thread to exit.
 _STOP = object()
@@ -125,6 +131,23 @@ def _lane(
             state.post(index, ("err", exc))
         else:
             state.post(index, ("ok", result))
+
+
+def window_size(requested: Optional[int], workers: int, n_items: int) -> int:
+    """The ``inflight`` window for a pipelined walk over ``n_items``.
+
+    An explicit ``requested`` window (``--inflight-segments``) is
+    validated and clamped to the item count.  Otherwise the window is
+    sized from the worker count (``0`` = all CPUs): enough items to hide
+    load latency and stage-boundary pool idling, capped so memory stays
+    a small multiple of one item.
+    """
+    if requested is not None:
+        if requested < 1:
+            raise ValueError(f"inflight_segments must be >= 1, got {requested}")
+        return min(requested, max(n_items, 1))
+    effective = workers if workers > 0 else available_workers()
+    return max(1, min(n_items, min(effective, 4) + 1))
 
 
 class _Cancelled(Exception):

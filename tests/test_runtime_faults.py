@@ -726,27 +726,49 @@ class TestPipelinedFaultDrill:
         assert rerun.segments_reused == len(store.segments) - len(victims)
         assert rerun.summary() == clean_summary.summary()
 
-    def test_degraded_segment_leaves_no_checkpoint(self, store, tmp_path):
-        """A skip-and-reported load must recompute next run, not replay."""
+    @pytest.mark.parametrize("inflight", [1, 2])
+    @pytest.mark.parametrize("stage", ["segment.load", "extract"])
+    def test_degraded_segment_leaves_no_checkpoint(
+        self, store, clean_summary, tmp_path, stage, inflight
+    ):
+        """A skip-and-reported segment must recompute next run, not replay.
+
+        Segment 0 either fails its load or has a shard skipped inside
+        it.  Its health is not part of a checkpoint, so replaying one
+        would report the degraded result as a clean run.
+        """
         ckpt = tmp_path / "ckpt"
         plan = plan_of(
             *(
-                FaultSpec("segment.load", 0, a, "exception", segment=0)
+                FaultSpec(stage, 0, a, "exception", segment=0)
                 for a in range(1, 6)
             )
         )
+        health = RunHealth()
         validate_store(
             store,
-            inflight_segments=2,
+            inflight_segments=inflight,
             resilience=ResilienceConfig(
                 max_retries=1, on_failure="skip_and_report", **FAST
             ),
             fault_plan=plan,
             checkpoints=ckpt,
+            health=health,
         )
+        assert health.degraded
         names = sorted(p.name for p in ckpt.glob("ckpt-*.pkl"))
         assert len(names) == len(store.segments) - 1
         assert all(not n.startswith("ckpt-00000-") for n in names)
+
+        resumed_health = RunHealth()
+        resumed = validate_store(
+            store, inflight_segments=inflight, checkpoints=ckpt,
+            health=resumed_health,
+        )
+        assert resumed.segments_reused == len(store.segments) - 1
+        assert not resumed_health.degraded
+        assert resumed.summary() == clean_summary.summary()
+        assert resumed.visit_counts == clean_summary.visit_counts
 
 
 class TestSegmentScopedFaultPlan:

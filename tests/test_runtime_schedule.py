@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro.runtime import run_pipelined
+from repro.runtime import available_workers, run_pipelined, window_size
 
 
 def test_reduce_runs_in_order_on_caller_thread():
@@ -245,3 +245,35 @@ def test_on_progress_exceptions_are_swallowed():
     )
     assert reduced == [0, 1, 2, 3]
     assert stats["overlap"] + stats["stalls"] == 4
+
+
+def test_window_one_is_a_strict_serial_walk():
+    """``inflight=1``: item i+1 loads only after item i is reduced."""
+    log = []
+    run_pipelined(
+        list(range(4)),
+        load=lambda i, item: log.append(("load", i)),
+        compute=lambda i, item, loaded, lane: log.append(("compute", i)),
+        reduce=lambda i, item, result: log.append(("reduce", i)),
+        inflight=1,
+    )
+    assert log == [
+        (step, i) for i in range(4) for step in ("load", "compute", "reduce")
+    ]
+
+
+class TestWindowSize:
+    def test_explicit_window_is_clamped_to_items(self):
+        assert window_size(3, 4, 10) == 3
+        assert window_size(8, 1, 3) == 3
+        assert window_size(1, 4, 0) == 1
+
+    def test_explicit_window_must_be_positive(self):
+        with pytest.raises(ValueError, match="inflight_segments must be >= 1"):
+            window_size(0, 2, 5)
+
+    def test_default_sized_from_workers(self):
+        assert window_size(None, 2, 10) == 3
+        assert window_size(None, 16, 10) == 5  # capped at min(N, 4) + 1
+        assert window_size(None, 4, 2) == 2  # never more than the items
+        assert window_size(None, 0, 100) == min(available_workers(), 4) + 1

@@ -21,6 +21,7 @@ from repro.cli import main
 from repro.core import VisitConfig, validate, validate_store
 from repro.io import load_dataset, load_dataset_into_store
 from repro.obs import ObsContext, RunManifest, activate
+from repro.runtime import SerialExecutor
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden_study"
 
@@ -185,14 +186,28 @@ class TestApiParity:
         assert rerun.segments_reused == 0
 
 
-class TestPipelinedParity:
-    """``--inflight-segments > 1`` must change wall-clock, nothing else.
+class _CloseCountingExecutor(SerialExecutor):
+    """A serial executor that records how often it was closed."""
 
-    The pipelined scheduler overlaps segment loads and stage compute
-    across threads; everything observable — summary, per-user results,
-    semantic counters, manifest fingerprint, scorecard, and the
-    checkpoint files' literal bytes — must be identical to the serial
-    streaming loop at any worker count and any in-flight window.
+    closes = 0
+
+    def close(self) -> None:
+        self.closes += 1
+        super().close()
+
+
+class TestPipelinedParity:
+    """``--inflight-segments`` must change wall-clock, nothing else.
+
+    Every ``validate_store`` call runs on one segment scheduler; the
+    window only sets how many segments overlap their loads and stage
+    compute across threads, and ``--inflight-segments 1`` is a window
+    of one through that same scheduler, not a separate loop.
+    Everything observable — summary, per-user results, semantic
+    counters, manifest fingerprint, scorecard, and the checkpoint
+    files' literal bytes — must be identical to the in-memory
+    ``validate`` oracle and to window 1 at any worker count and any
+    window.
     """
 
     @pytest.fixture(scope="class")
@@ -201,8 +216,12 @@ class TestPipelinedParity:
         return load_dataset_into_store(GOLDEN_DIR, store_dir,
                                        segment_users=SEGMENT_USERS)
 
+    @pytest.fixture(scope="class")
+    def memory_report(self, store):
+        return validate(store.load_dataset())
+
     def test_cli_parallel_disk_parity_smoke(self, tmp_path, capsys):
-        """The CI smoke: inflight 3 at 4 workers == serial, byte-for-byte."""
+        """The CI smoke: window 3 at 4 workers == window 1, byte-for-byte."""
         base = ["--store", "disk", "--segment-users", str(SEGMENT_USERS)]
         serial = run_cli(tmp_path, "serial", *base,
                          "--inflight-segments", "1")
@@ -217,23 +236,44 @@ class TestPipelinedParity:
         assert pipelined.scorecard == serial.scorecard
         assert semantic_metrics(pipelined) == semantic_metrics(serial)
 
-    @pytest.mark.parametrize("workers,inflight", [(1, 3), (4, 2), (4, 8)])
-    def test_summary_parity(self, store, workers, inflight):
+    @pytest.mark.parametrize("inflight", [1, 2, 3, 8])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_summary_parity(self, store, memory_report, workers, inflight):
         serial = validate_store(store, inflight_segments=1)
         pipelined = validate_store(store, workers=workers,
                                    inflight_segments=inflight)
+        assert pipelined.summary() == memory_report.summary()
         assert pipelined.summary() == serial.summary()
         assert pipelined.visit_counts == serial.visit_counts
         assert pipelined.type_counts == serial.type_counts
+        assert pipelined.type_counts == memory_report.type_counts()
+        assert pipelined.visit_counts == {
+            user_id: len(data.visits)
+            for user_id, data in memory_report.dataset.users.items()
+        }
 
-    def test_full_report_parity(self, store):
-        reference = validate_store(store, keep_results=True)
+    @pytest.mark.parametrize("inflight", [None, 1])
+    def test_explicit_executor_is_one_lane_left_open(self, store, inflight):
+        executor = _CloseCountingExecutor()
+        summary = validate_store(store, executor=executor,
+                                 inflight_segments=inflight)
+        serial = validate_store(store, inflight_segments=1)
+        assert summary.summary() == serial.summary()
+        assert summary.visit_counts == serial.visit_counts
+        assert executor.closes == 0  # the caller's executor stays open
+
+    def test_full_report_parity(self, store, memory_report):
+        window_one = validate_store(store, inflight_segments=1,
+                                    keep_results=True)
         report = validate_store(store, workers=2, inflight_segments=3,
                                 keep_results=True)
-        assert report.summary() == reference.summary()
-        assert list(report.matching.per_user) == list(reference.matching.per_user)
-        assert report.matching.per_user == reference.matching.per_user
-        assert report.classification.labels == reference.classification.labels
+        for reference in (memory_report, window_one):
+            assert report.summary() == reference.summary()
+            assert list(report.matching.per_user) == \
+                list(reference.matching.per_user)
+            assert report.matching.per_user == reference.matching.per_user
+            assert report.classification.labels == \
+                reference.classification.labels
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_checkpoints_byte_identical(self, store, tmp_path, workers):
@@ -251,7 +291,7 @@ class TestPipelinedParity:
                 (serial_dir / name).read_bytes(), name
 
     def test_pipelined_resumes_serial_checkpoints(self, store, tmp_path):
-        """Checkpoint interop: either loop replays the other's files."""
+        """Checkpoint interop: any window replays window 1's files."""
         ckpt = tmp_path / "ckpt"
         cold = validate_store(store, checkpoints=ckpt)
         warm = validate_store(store, workers=2, inflight_segments=3,
@@ -260,31 +300,37 @@ class TestPipelinedParity:
         assert warm.summary() == cold.summary()
 
     def test_semantic_counters_identical(self, store):
-        def counters(**kwargs):
+        def counters(run, *args, **kwargs):
             ctx = ObsContext()
             with activate(ctx):
-                validate_store(store, **kwargs)
+                run(*args, **kwargs)
             return {
                 name: value
                 for name, value in ctx.metrics.snapshot()["counters"].items()
                 if name.startswith(SEMANTIC_PREFIXES)
             }
 
-        assert counters(workers=2, inflight_segments=3) == \
-            counters(workers=2, inflight_segments=1)
+        pipelined = counters(validate_store, store, workers=2,
+                             inflight_segments=3)
+        assert pipelined == counters(validate_store, store, workers=2,
+                                     inflight_segments=1)
+        assert pipelined == counters(validate, store.load_dataset())
 
-    def test_pipeline_stats_surface_on_manifest(self, store):
+    @pytest.mark.parametrize("kwargs,window", [
+        pytest.param({}, 1, id="default-serial"),
+        pytest.param({"workers": 2, "inflight_segments": 3}, 3, id="window-3"),
+    ])
+    def test_pipeline_stats_surface_on_manifest(self, store, kwargs, window):
         ctx = ObsContext()
         with activate(ctx):
-            validate_store(store, workers=2, inflight_segments=3)
+            validate_store(store, **kwargs)
         snapshot = ctx.metrics.snapshot()
         counters = snapshot["counters"]
         assert counters["store.prefetch_overlap_total"] \
             + counters["store.prefetch_stalls_total"] == len(store.segments)
-        assert snapshot["gauges"]["store.inflight_segments"] == 3.0
+        assert snapshot["gauges"]["store.inflight_segments"] == float(window)
 
     def test_explicit_executor_rejects_pipelining(self, store):
-        from repro.runtime import SerialExecutor
         from repro.runtime.errors import RuntimeConfigError
 
         with pytest.raises(RuntimeConfigError, match="in-flight"):
